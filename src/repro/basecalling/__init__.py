@@ -31,7 +31,7 @@ interchangeable inside the CP/ER pipeline and selectable by name
 :mod:`repro.core.registry`.
 """
 
-from repro.basecalling.chunked import chunk_bounds, reassemble_chunks
+from repro.basecalling.chunked import chunk_bounds, chunk_span, n_chunks, reassemble_chunks
 from repro.basecalling.engines import (
     CarriedSignalProvider,
     DNNBackendConfig,
@@ -55,6 +55,8 @@ __all__ = [
     "ViterbiBasecaller",
     "ViterbiConfig",
     "chunk_bounds",
+    "chunk_span",
+    "n_chunks",
     "reassemble_chunks",
     "CarriedSignalProvider",
     "DNNBackendConfig",

@@ -16,22 +16,36 @@ import numpy as np
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
 
 
-def chunk_bounds(total_bases: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Half-open (start, end) base intervals of each chunk of a read.
-
-    The final chunk absorbs the remainder; a read shorter than one chunk
-    is a single chunk.
-    """
+def n_chunks(total_bases: int, chunk_size: int) -> int:
+    """Number of chunks a read of ``total_bases`` splits into (at least 1)."""
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     if total_bases < 0:
         raise ValueError("total_bases must be non-negative")
-    if total_bases == 0:
-        return [(0, 0)]
-    bounds = []
-    for start in range(0, total_bases, chunk_size):
-        bounds.append((start, min(start + chunk_size, total_bases)))
-    return bounds
+    return max(1, -(-total_bases // chunk_size))
+
+
+def chunk_span(total_bases: int, chunk_size: int, index: int) -> tuple[int, int]:
+    """Half-open (start, end) base interval of chunk ``index``, in O(1)."""
+    count = n_chunks(total_bases, chunk_size)
+    if not 0 <= index < count:
+        raise ValueError(f"chunk index {index} out of range (read has {count} chunks)")
+    start = index * chunk_size
+    return start, min(start + chunk_size, total_bases)
+
+
+def chunk_bounds(total_bases: int, chunk_size: int) -> list[tuple[int, int]]:
+    """Half-open (start, end) base intervals of every chunk of a read.
+
+    Every chunk but the last spans ``chunk_size`` bases; the last is the
+    shorter remainder (``(750, 300)`` ends with ``(600, 750)``). A read
+    shorter than one chunk is a single chunk, and an empty read is the
+    single empty chunk ``(0, 0)``.
+    """
+    return [
+        chunk_span(total_bases, chunk_size, i)
+        for i in range(n_chunks(total_bases, chunk_size))
+    ]
 
 
 def reassemble_chunks(read_id: str, chunks: list[BasecalledChunk]) -> BasecalledRead:
@@ -45,15 +59,9 @@ def reassemble_chunks(read_id: str, chunks: list[BasecalledChunk]) -> Basecalled
     indices = [c.chunk_index for c in chunks]
     if indices != list(range(len(chunks))):
         raise ValueError(f"chunks out of order or missing: indices {indices}")
-    bases = "".join(c.bases for c in chunks)
-    qualities = (
-        np.concatenate([c.qualities for c in chunks])
-        if chunks[0].qualities.size or len(chunks) > 1
-        else chunks[0].qualities
-    )
     return BasecalledRead(
         read_id=read_id,
-        bases=bases,
-        qualities=qualities,
+        codes=np.concatenate([c.codes for c in chunks]),
+        qualities=np.concatenate([c.qualities for c in chunks]),
         n_chunks=len(chunks),
     )

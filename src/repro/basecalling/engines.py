@@ -23,7 +23,7 @@ The decoders consume raw current, so the only real question per read is
   quality track is low, so low-quality reads genuinely decode worse and
   quality-based early rejection remains meaningful in signal space.
 
-Chunks are cut on the shared :func:`~repro.basecalling.chunked.chunk_bounds`
+Chunks are cut on the shared :func:`~repro.basecalling.chunked.chunk_span`
 grid (base coordinates) and decoded independently, losing k-mer
 context at boundaries -- the same trade-off real chunked basecallers
 make. ``n_true_bases`` keeps the surrogate's accounting so SQS/AQS and
@@ -39,10 +39,11 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.basecalling.chunked import chunk_bounds, reassemble_chunks
+from repro.basecalling.chunked import chunk_span, n_chunks, reassemble_chunks
 from repro.basecalling.dnn.model import BonitoLikeModel
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
 from repro.basecalling.viterbi import ViterbiBasecaller, ViterbiConfig
+from repro.genomics import alphabet
 from repro.genomics.quality import phred_to_error_prob
 from repro.kernels.batched_dnn import batched_basecall
 from repro.kernels.viterbi import event_features, viterbi_state_ops
@@ -277,7 +278,7 @@ class SignalSpaceBasecaller:
         # prime_chunk_batch on the DNN backend); consumed -- and
         # removed -- by basecall_chunk. Never pickled: priming happens
         # inside whichever process runs the decode.
-        self._primed_chunks: dict[tuple[str, int, int], tuple[str, np.ndarray]] = {}
+        self._primed_chunks: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def pore_model(self) -> PoreModel:
@@ -317,7 +318,7 @@ class SignalSpaceBasecaller:
 
     def n_chunks(self, read, chunk_size: int) -> int:
         """Number of chunks the read splits into (shared grid)."""
-        return len(chunk_bounds(len(read), chunk_size))
+        return n_chunks(len(read), chunk_size)
 
     def basecall_chunk(self, read, index: int, chunk_size: int) -> BasecalledChunk:
         """Decode one chunk's signal slice.
@@ -327,22 +328,17 @@ class SignalSpaceBasecaller:
         ``k - 1`` true bases have no dedicated samples; the decoder's
         trailing k-mer emission covers them approximately).
         """
-        bounds = chunk_bounds(len(read), chunk_size)
-        if not 0 <= index < len(bounds):
-            raise ValueError(
-                f"chunk index {index} out of range (read has {len(bounds)} chunks)"
-            )
-        start, end = bounds[index]
+        start, end = chunk_span(len(read), chunk_size, index)
         primed = self._primed_chunks.pop((read.read_id, index, chunk_size), None)
         if primed is not None:
-            bases, qualities = primed
+            codes, qualities = primed
         else:
             signal = self.read_signal(read)
             samples = signal.clamped_slice(start, end)
-            bases, qualities = self._decode(samples, read.read_id)
+            codes, qualities = self._decode(samples, read.read_id)
         return BasecalledChunk(
             chunk_index=index,
-            bases=bases,
+            codes=codes,
             qualities=qualities,
             n_true_bases=end - start,
         )
@@ -355,7 +351,7 @@ class SignalSpaceBasecaller:
         ]
         return reassemble_chunks(read.read_id, chunks)
 
-    def _decode(self, samples: np.ndarray, read_id: str) -> tuple[str, np.ndarray]:
+    def _decode(self, samples: np.ndarray, read_id: str) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def __getstate__(self) -> dict:
@@ -449,7 +445,7 @@ class ViterbiChunkBasecaller(SignalSpaceBasecaller):
     def decoder(self) -> ViterbiBasecaller:
         return self._decoder
 
-    def _decode(self, samples: np.ndarray, read_id: str) -> tuple[str, np.ndarray]:
+    def _decode(self, samples: np.ndarray, read_id: str) -> tuple[np.ndarray, np.ndarray]:
         if self._config.decode == "events":
             samples = np.asarray(samples, dtype=np.float64)
             starts = detect_events(samples, self._config.segmentation)
@@ -457,7 +453,7 @@ class ViterbiChunkBasecaller(SignalSpaceBasecaller):
             called = self._decoder.basecall_events(means, dwells, read_id=read_id)
         else:
             called = self._decoder.basecall(samples, read_id=read_id)
-        return called.bases, called.qualities
+        return called.codes, called.qualities
 
     def kernel_workload(self, n_bases: int) -> KernelWorkload:
         """Trellis state-space ops for decoding ``n_bases`` worth of signal.
@@ -555,8 +551,9 @@ class DNNChunkBasecaller(SignalSpaceBasecaller):
     def model(self) -> BonitoLikeModel:
         return self._model
 
-    def _decode(self, samples: np.ndarray, read_id: str) -> tuple[str, np.ndarray]:
-        return self._model.basecall(samples)
+    def _decode(self, samples: np.ndarray, read_id: str) -> tuple[np.ndarray, np.ndarray]:
+        bases, qualities = self._model.basecall(samples)
+        return alphabet.encode(bases), qualities
 
     def prime_chunk_batch(
         self, requests: "list[tuple[object, int]]", chunk_size: int
@@ -575,20 +572,21 @@ class DNNChunkBasecaller(SignalSpaceBasecaller):
         keys: list[tuple[str, int, int]] = []
         windows: list[np.ndarray] = []
         for read, index in requests:
-            bounds = chunk_bounds(len(read), chunk_size)
-            if not 0 <= index < len(bounds):
+            if not 0 <= index < n_chunks(len(read), chunk_size):
                 continue
             key = (read.read_id, index, chunk_size)
             if key in self._primed_chunks:
                 continue
-            start, end = bounds[index]
+            start, end = chunk_span(len(read), chunk_size, index)
             signal = self.read_signal(read)
             keys.append(key)
             windows.append(signal.clamped_slice(start, end))
         if not windows:
             return 0
-        for key, result in zip(keys, batched_basecall(self._model, windows), strict=True):
-            self._primed_chunks[key] = result
+        for key, (bases, qualities) in zip(
+            keys, batched_basecall(self._model, windows), strict=True
+        ):
+            self._primed_chunks[key] = (alphabet.encode(bases), qualities)
         return len(keys)
 
     def kernel_workload(self, n_bases: int) -> KernelWorkload:

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.basecalling.chunked import chunk_bounds, reassemble_chunks
+from repro.basecalling.chunked import chunk_span, n_chunks, reassemble_chunks
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
-from repro.genomics import alphabet
 from repro.genomics.mutate import ErrorProfile, apply_errors
 from repro.genomics.quality import phred_to_error_prob
 from repro.nanopore.read_simulator import SimulatedRead
@@ -86,7 +85,7 @@ class SurrogateBasecaller:
 
     def n_chunks(self, read: SimulatedRead, chunk_size: int) -> int:
         """Number of chunks the read splits into."""
-        return len(chunk_bounds(len(read), chunk_size))
+        return n_chunks(len(read), chunk_size)
 
     def basecall_chunk(self, read: SimulatedRead, index: int, chunk_size: int) -> BasecalledChunk:
         """Basecall one chunk of a read.
@@ -94,10 +93,7 @@ class SurrogateBasecaller:
         Deterministic in ``(read.seed, chunk_size, index)`` and
         independent of any other chunk.
         """
-        bounds = chunk_bounds(len(read), chunk_size)
-        if not 0 <= index < len(bounds):
-            raise ValueError(f"chunk index {index} out of range (read has {len(bounds)} chunks)")
-        start, end = bounds[index]
+        start, end = chunk_span(len(read), chunk_size, index)
         true_codes = read.true_codes[start:end]
         track = read.qualities[start:end]
 
@@ -116,7 +112,7 @@ class SurrogateBasecaller:
 
         return BasecalledChunk(
             chunk_index=index,
-            bases=alphabet.decode(mutated.codes),
+            codes=mutated.codes,
             qualities=emitted_quality,
             n_true_bases=end - start,
         )

@@ -9,9 +9,10 @@ level (the hardware cost models live in :mod:`repro.hardware` /
   and per-dataset presets (E. coli: ``N_qs=2, N_cm=5``; human:
   ``N_qs=5, N_cm=3``; Sec. 6.3).
 * :mod:`repro.core.early_rejection` -- QSR (Algorithm 1) and CMR.
-* :mod:`repro.core.pipeline` -- the chunk-based pipeline: basecall ->
-  CQS -> seed -> chain per chunk, with ER interleaved, then final
-  chaining + alignment; plus the conventional pipeline for comparison.
+* :mod:`repro.core.pipeline` -- the chunk-based pipeline: basecall and
+  CQS per chunk, seed + chain per run of chunks (the CMR prefix, then
+  the rest), with ER interleaved, then final chaining + alignment; plus
+  the conventional pipeline for comparison.
 * :mod:`repro.core.genpip` -- the :class:`GenPIP` system facade and the
   dataset-level report consumed by the performance model and the
   experiments.

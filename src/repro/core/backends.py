@@ -103,7 +103,7 @@ class CMRPolicyProtocol(Protocol):
     """
 
     def merged_chunk_indices(self, n_chunks: int) -> list[int]:
-        """Chunk indices merged before the chaining check."""
+        """Chunk indices merged before the chaining check: a prefix ``0..n-1``."""
         ...
 
     def decide(self, chain_score: float, merged_bases: int) -> "CMRDecision":

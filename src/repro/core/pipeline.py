@@ -5,10 +5,11 @@ Functional model of the paper's Fig. 6 control flow:
 1. basecall the ``N_qs`` evenly-sampled chunks, check QSR -> maybe stop;
 2. basecall the first ``N_cm`` chunks, merge, seed + chain, check CMR ->
    maybe stop;
-3. basecall the remaining chunks (each chunk is seeded as it appears,
-   with a (k + w - 2)-base context overlap so that chunked seeding finds
-   *exactly* the anchors whole-read seeding finds); final chaining +
-   alignment produce the mapping result.
+3. basecall the remaining chunks and seed them as one run; final
+   chaining + alignment produce the mapping result. Each run (the CMR
+   prefix, the rest) is one ``seed`` span, seeded with ``k + w - 2``
+   bases of context, so the anchors are *exactly* whole-read seeding's
+   (see :mod:`repro.mapping.mapper`).
 
 The :class:`ConventionalPipeline` (basecall everything -> read-level QC
 -> map) is provided for equivalence testing and as the software baseline
@@ -27,8 +28,6 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.basecalling.chunked import reassemble_chunks
 from repro.basecalling.surrogate import SurrogateBasecaller
 from repro.basecalling.types import BasecalledChunk, BasecalledRead
@@ -40,7 +39,6 @@ from repro.core.backends import (
 )
 from repro.core.config import GenPIPConfig
 from repro.core.early_rejection import CMRDecision, CMRPolicy, QSRDecision, QSRPolicy
-from repro.genomics import alphabet
 from repro.mapping.index import MinimizerIndex
 from repro.mapping.mapper import IncrementalChunkMapper, MapperConfig, MappingResult
 from repro.nanopore.read_simulator import SimulatedRead
@@ -154,10 +152,6 @@ class GenPIPPipeline:
         # None defers to the process tracer per read, so enabling
         # tracing after construction (CLI, worker init) still takes.
         self._tracer = tracer
-        # Context overlap that makes chunked seeding anchor-identical to
-        # whole-read seeding: k-1 for boundary k-mers plus w-1 for
-        # boundary windows.
-        self._seed_overlap = self._index.config.k + self._index.config.w - 2
 
     @property
     def config(self) -> GenPIPConfig:
@@ -337,25 +331,25 @@ class GenPIPPipeline:
         chunk_mapper = IncrementalChunkMapper(
             self._index, read_length=len(read), config=self._mapper_config
         )
-        seeded: set[int] = set()
         if cfg.enable_cmr and er_eligible:
             with tracer.span("cmr_probe"):
-                merged_indices = self._cmr.merged_chunk_indices(n_chunks)
-                for i in merged_indices:
-                    basecall(i)
-                self._reindex_mapper(chunk_mapper, called, merged_indices, seeded)
+                # reassemble_chunks rejects anything but a chunk prefix.
+                merged = reassemble_chunks(
+                    read.read_id,
+                    [basecall(i) for i in self._cmr.merged_chunk_indices(n_chunks)],
+                )
+                chunk_mapper.extend(merged.codes)
                 primary, _ = chunk_mapper.chain_prefix()
-                merged_bases = sum(len(called[i]) for i in merged_indices)
                 score = primary.score if primary is not None else 0.0
                 n_chain_invocations += 1
-                cmr_decision = self._cmr.decide(score, merged_bases)
+                cmr_decision = self._cmr.decide(score, len(merged))
             if cmr_decision.reject:
                 return self._outcome(
                     read,
                     ReadStatus.REJECTED_CMR,
                     n_chunks,
                     called,
-                    n_chunks_seeded=len(seeded),
+                    n_chunks_seeded=merged.n_chunks,
                     n_chain_invocations=n_chain_invocations,
                     aligned=False,
                     ser=ser_decision,
@@ -364,11 +358,9 @@ class GenPIPPipeline:
                 )
 
         # --- Stage 3: basecall + seed the remaining chunks (Fig. 6 (6b)-(7)).
-        for i in range(n_chunks):
-            basecall(i)
-        self._reindex_mapper(chunk_mapper, called, range(n_chunks), seeded)
-
-        full_read = reassemble_chunks(read.read_id, [called[i] for i in range(n_chunks)])
+        full_read = reassemble_chunks(read.read_id, [basecall(i) for i in range(n_chunks)])
+        read_codes = full_read.codes
+        chunk_mapper.extend(read_codes[chunk_mapper.bases_seeded :])
 
         # Read-level quality control applies when QSR is off (QSR *is*
         # the quality filter when enabled).
@@ -378,14 +370,13 @@ class GenPIPPipeline:
                 ReadStatus.FAILED_QC,
                 n_chunks,
                 called,
-                n_chunks_seeded=len(seeded),
+                n_chunks_seeded=n_chunks,
                 n_chain_invocations=n_chain_invocations,
                 aligned=False,
                 mean_quality=full_read.mean_quality,
                 ser=ser_decision,
             )
 
-        read_codes = alphabet.encode(full_read.bases)
         chunk_mapper.set_read_length(read_codes.size)
         mapping = chunk_mapper.finalize(read.read_id, read_codes, align=self._align)
         n_chain_invocations += 1
@@ -396,7 +387,7 @@ class GenPIPPipeline:
                 status,
                 n_chunks,
                 called,
-                n_chunks_seeded=len(seeded),
+                n_chunks_seeded=n_chunks,
                 n_chain_invocations=n_chain_invocations,
                 aligned=mapping.alignment is not None,
                 mean_quality=full_read.mean_quality,
@@ -409,50 +400,6 @@ class GenPIPPipeline:
     def basecall_full(self, read: SimulatedRead) -> BasecalledRead:
         """Basecall every chunk of a read (oracle/recovery helper)."""
         return self._basecaller.basecall_read(read, self._config.chunk_size)
-
-    def _reindex_mapper(
-        self,
-        chunk_mapper: IncrementalChunkMapper,
-        called: dict[int, BasecalledChunk],
-        indices,
-        seeded: set[int],
-    ) -> None:
-        """Seed not-yet-seeded chunks, in order, with context overlap.
-
-        Chunk boundaries in *called-base* coordinates shift with indel
-        errors, so offsets are the cumulative called lengths. Each chunk
-        after the first is seeded with the previous chunk's trailing
-        ``k + w - 2`` bases prepended, making the union of chunk anchors
-        exactly equal to whole-read anchors (deduplicated downstream).
-        """
-        ordered = sorted(set(indices))
-        # Seeding must proceed in order; offsets need all prior chunks.
-        offsets: dict[int, int] = {}
-        acc = 0
-        max_index = max(ordered) if ordered else -1
-        for i in range(max_index + 1):
-            offsets[i] = acc
-            if i in called:
-                acc += len(called[i])
-        for i in ordered:
-            if i in seeded or i not in called:
-                continue
-            # Contiguity guard: only seed when all earlier chunks are
-            # called (offsets would otherwise be wrong). The pipeline
-            # always satisfies this for CMR (chunks 0..N_cm-1) and the
-            # final pass (all chunks).
-            if any(j not in called for j in range(i)):
-                continue
-            chunk = called[i]
-            codes = alphabet.encode(chunk.bases)
-            offset = offsets[i]
-            if i > 0 and self._seed_overlap > 0:
-                prev = alphabet.encode(called[i - 1].bases)
-                context = prev[-self._seed_overlap :]
-                codes = np.concatenate([context, codes])
-                offset -= context.size
-            chunk_mapper.add_chunk(codes, read_offset=offset)
-            seeded.add(i)
 
     def _outcome(
         self,

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.basecalling import SurrogateBasecaller
+from repro.basecalling import SurrogateBasecaller, reassemble_chunks
 from repro.core.early_rejection import CMRPolicy
 from repro.core.pipeline import ReadStatus
 from repro.experiments import paper_values
 from repro.experiments.context import get_context
 from repro.experiments.figure12 import SensitivityPoint
-from repro.genomics import alphabet
 from repro.mapping.mapper import IncrementalChunkMapper
 
 
@@ -56,6 +55,24 @@ class Figure13Result:
         return "\n".join(lines)
 
 
+def cmr_prefix_score(index, caller, policy, read, chunk_size: int) -> tuple[float, int]:
+    """Chain score and base count of the read's merged CMR prefix.
+
+    Seeds the merged chunks as one run through
+    :meth:`IncrementalChunkMapper.extend`, exactly as the pipeline's
+    CMR probe does, so the sweep scores the decisions the pipeline makes.
+    """
+    n_chunks = caller.n_chunks(read, chunk_size)
+    merged = reassemble_chunks(
+        read.read_id,
+        [caller.basecall_chunk(read, i, chunk_size) for i in policy.merged_chunk_indices(n_chunks)],
+    )
+    mapper = IncrementalChunkMapper(index, read_length=len(read))
+    mapper.extend(merged.codes)
+    primary, _ = mapper.chain_prefix()
+    return (primary.score if primary is not None else 0.0), len(merged)
+
+
 def run_figure13(
     n_cm_values: tuple[int, ...] = (1, 2, 3, 4, 5),
     datasets: tuple[str, ...] = ("ecoli-like", "human-like"),
@@ -82,18 +99,9 @@ def run_figure13(
             rejected = 0
             false_negative = 0
             for read in reads:
-                n_chunks = caller.n_chunks(read, chunk_size)
-                indices = policy.merged_chunk_indices(n_chunks)
-                mapper = IncrementalChunkMapper(context.index, read_length=len(read))
-                offset = 0
-                merged_bases = 0
-                for i in indices:
-                    chunk = caller.basecall_chunk(read, i, chunk_size)
-                    mapper.add_chunk(alphabet.encode(chunk.bases), read_offset=offset)
-                    offset += len(chunk)
-                    merged_bases += len(chunk)
-                primary, _ = mapper.chain_prefix()
-                score = primary.score if primary is not None else 0.0
+                score, merged_bases = cmr_prefix_score(
+                    context.index, caller, policy, read, chunk_size
+                )
                 if policy.decide(score, merged_bases).reject:
                     rejected += 1
                     if mappable[read.read_id]:

@@ -4,10 +4,23 @@
 seed -> chain -> align, producing a :class:`MappingResult`.
 
 :class:`IncrementalChunkMapper` is the GenPIP-specific interface: the
-chunk-based pipeline (CP) feeds basecalled chunks as they appear, the
+chunk-based pipeline (CP) appends basecalled bases as they appear, the
 mapper accumulates anchors in global read coordinates, and chaining can
 be (re)run at any prefix of the read -- which is precisely what ER-CMR
 does when it checks the chaining score of the first ``N_cm`` chunks.
+
+Run-level seeding. The mapper owns the called-base grid:
+:meth:`IncrementalChunkMapper.extend` takes the next *run* of called
+bases (any number of contiguous chunks), prepends the trailing
+``k + w - 2`` bases it already holds, and seeds the run in one
+minimizer pass and one ``searchsorted``. A (k, w) window spans
+``k + w - 1`` bases, so with that context every window of the whole
+read lies inside exactly one seeded run; windows repeated in the
+context are dropped by the ``np.unique`` in :meth:`_gathered`. The
+gathered anchor arrays are therefore identical however the read is cut
+into runs -- one run per chunk, one per pipeline stage, or one for the
+whole read. Each :meth:`extend` records one ``seed`` trace span, so the
+CP pipeline emits at most two per read (the CMR prefix, then the rest).
 """
 
 from __future__ import annotations
@@ -119,17 +132,18 @@ class Mapper:
         """Seed, chain, and (optionally) align one basecalled read."""
         codes = alphabet.encode(bases)
         mapper = IncrementalChunkMapper(self._index, len(codes), config=self._config)
-        mapper.add_chunk(codes, read_offset=0)
+        mapper.extend(codes)
         return mapper.finalize(read_id=read_id, read_codes=codes, align=align)
 
 
 class IncrementalChunkMapper:
     """Anchor accumulation and chaining over a growing prefix of a read.
 
-    The GenPIP read-mapping module's seeding unit pushes per-chunk
-    anchors here; ``chain_prefix()`` answers ER-CMR's question ("does the
-    merged chunk chain anywhere?") and ``finalize()`` produces the final
-    read mapping once all chunks arrived.
+    The GenPIP read-mapping module's seeding unit pushes runs of called
+    bases here (:meth:`extend`); ``chain_prefix()`` answers ER-CMR's
+    question ("does the merged chunk chain anywhere?") and
+    ``finalize()`` produces the final read mapping once all chunks
+    arrived.
     """
 
     def __init__(self, index: MinimizerIndex, read_length: int, config: MapperConfig | None = None):
@@ -141,9 +155,13 @@ class IncrementalChunkMapper:
         # basecalled length is only final when the last chunk arrives.
         self._anchor_blocks: dict[int, list[np.ndarray]] = {1: [], -1: []}
         self._bases_seeded = 0
+        # The trailing k + w - 2 seeded bases: with them prepended, every
+        # (k, w) window that ends in the next run is complete.
+        self._context_size = index.config.k + index.config.w - 2
+        self._context = np.empty(0, dtype=np.uint8)
         # ER-CMR probes chain_prefix() repeatedly over the same prefix;
-        # the gathered/sorted anchor arrays only change when a chunk
-        # arrives or the read length moves, so cache them in between.
+        # the gathered/sorted anchor arrays only change when a run is
+        # seeded or the read length moves, so cache them in between.
         self._gathered_cache: dict[int, np.ndarray] | None = None
 
     @property
@@ -159,28 +177,33 @@ class IncrementalChunkMapper:
             self._gathered_cache = None
         self._read_length = int(read_length)
 
-    def add_chunk(self, chunk_codes: np.ndarray, read_offset: int) -> int:
-        """Seed one basecalled chunk (global read offset in bases).
-
-        Returns the number of anchors the chunk contributed.
-        """
+    def extend(self, codes: np.ndarray) -> None:
+        """Seed the next run of called bases, appended after those seeded."""
+        codes = np.asarray(codes, dtype=np.uint8)
+        if codes.size == 0:
+            return
+        run = np.concatenate((self._context, codes))
+        offset = self._bases_seeded - self._context.size
+        if offset == 0:
+            # The run is the whole read so far, so it re-seeds every
+            # earlier run -- including a too-short read's partial window,
+            # which whole-read seeding of the longer read would not pick.
+            for blocks in self._anchor_blocks.values():
+                blocks.clear()
         with active_tracer().span("seed"):
             grouped = collect_anchor_arrays(
                 self._index,
-                chunk_codes,
-                read_offset=read_offset,
+                run,
+                read_offset=offset,
                 read_length=None,
                 kernel=self._config.seed_kernel,
             )
-        added = 0
         for strand, rows in grouped.items():
             if rows.size:
                 self._anchor_blocks[strand].append(rows)
-                added += rows.shape[0]
-        if added:
-            self._gathered_cache = None
-        self._bases_seeded += int(np.asarray(chunk_codes).size)
-        return added
+        self._gathered_cache = None
+        self._bases_seeded += codes.size
+        self._context = run[-self._context_size :]
 
     def _gathered(self) -> dict[int, np.ndarray]:
         if self._gathered_cache is not None:
@@ -193,7 +216,7 @@ class IncrementalChunkMapper:
                 if strand == -1:
                     arr = arr.copy()
                     arr[:, 1] = self._read_length - k - arr[:, 1]
-                arr = np.unique(arr, axis=0)  # overlap-seeded duplicates
+                arr = np.unique(arr, axis=0)  # context-seeded duplicates
                 order = np.lexsort((arr[:, 1], arr[:, 0]))
                 out[strand] = arr[order]
             else:

@@ -186,9 +186,9 @@ class SimulatedRead:
 
     def n_chunks(self, chunk_size: int) -> int:
         """Number of basecalling chunks at the given chunk size."""
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        return max(1, -(-len(self) // chunk_size))
+        from repro.basecalling.chunked import n_chunks  # lazy: basecalling imports this module
+
+        return n_chunks(len(self), chunk_size)
 
 
 class ReadSimulator:

@@ -87,7 +87,9 @@ class SignalRead:
 
     def n_chunks(self, chunk_size: int) -> int:
         """Number of chunks the read splits into at this chunk size."""
-        return len(self.chunk_bounds(chunk_size))
+        from repro.basecalling.chunked import n_chunks
+
+        return n_chunks(len(self), chunk_size)
 
     def chunk_samples(self, index: int, chunk_size: int) -> np.ndarray:
         """Sample view covering chunk ``index`` of the grid.
@@ -98,12 +100,9 @@ class SignalRead:
         an empty view. The result is a *view* into the read's samples,
         never a copy.
         """
-        bounds = self.chunk_bounds(chunk_size)
-        if not 0 <= index < len(bounds):
-            raise ValueError(
-                f"chunk index {index} out of range (read has {len(bounds)} chunks)"
-            )
-        start, end = bounds[index]
+        from repro.basecalling.chunked import chunk_span
+
+        start, end = chunk_span(len(self), chunk_size, index)
         return self.signal.clamped_slice(start, end)
 
     def normalized(self) -> "SignalRead":

@@ -11,7 +11,8 @@ worker?* It has three layers:
     disabled). ``GenPIPPipeline.process_read`` opens one trace per read
     with stage spans (``ser``, ``basecall_chunk``, ``qsr_probe``,
     ``cmr_probe``, ``report``), the incremental chunk mapper adds
-    ``seed``/``chain``/``align`` spans at the kernel call sites, the
+    ``seed``/``chain``/``align`` spans at the kernel call sites (one
+    ``seed`` span per seeded run of chunks, so at most two per read), the
     worker loop wraps each unit in a ``batch`` trace, and the serving
     dispatcher records an enqueue->verdict ``dispatch`` trace. Worker
     traces ride home as compact tuples on

@@ -10,8 +10,11 @@ from repro.basecalling import (
     SurrogateBasecaller,
     SurrogateConfig,
     chunk_bounds,
+    chunk_span,
+    n_chunks,
     reassemble_chunks,
 )
+from repro.genomics.alphabet import encode
 from repro.genomics.mutate import ErrorProfile
 from repro.genomics.reference import ReferenceGenome
 from repro.nanopore.read_simulator import ReadSimulator, SimulatorConfig
@@ -57,19 +60,32 @@ class TestChunkBounds:
             assert a1 - a0 == chunk
         assert all(end > start for start, end in bounds)
 
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=700))
+    @settings(max_examples=60)
+    def test_span_agrees_with_bounds(self, total, chunk):
+        bounds = chunk_bounds(total, chunk)
+        expected = [(s, min(s + chunk, total)) for s in range(0, total, chunk)] or [(0, 0)]
+        assert bounds == expected
+        assert n_chunks(total, chunk) == len(bounds)
+        for index, span in enumerate(bounds):
+            assert chunk_span(total, chunk, index) == span
+        for index in (-1, len(bounds)):
+            with pytest.raises(ValueError, match="out of range"):
+                chunk_span(total, chunk, index)
+
 
 class TestBasecalledChunk:
     def test_sum_quality_is_sqs(self):
-        chunk = BasecalledChunk(0, "ACGT", np.array([5.0, 6.0, 7.0, 8.0]), 4)
+        chunk = BasecalledChunk(0, encode("ACGT"), np.array([5.0, 6.0, 7.0, 8.0]), 4)
         assert chunk.sum_quality == pytest.approx(26.0)
         assert chunk.mean_quality == pytest.approx(6.5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            BasecalledChunk(0, "ACGT", np.array([5.0]), 4)
+            BasecalledChunk(0, encode("ACGT"), np.array([5.0]), 4)
 
     def test_empty_chunk(self):
-        chunk = BasecalledChunk(0, "", np.empty(0), 0)
+        chunk = BasecalledChunk(0, encode(""), np.empty(0), 0)
         assert chunk.mean_quality == 0.0
         assert chunk.sum_quality == 0.0
 
@@ -77,16 +93,16 @@ class TestBasecalledChunk:
 class TestReassembly:
     def test_order_enforced(self):
         chunks = [
-            BasecalledChunk(1, "AC", np.array([1.0, 2.0]), 2),
-            BasecalledChunk(0, "GT", np.array([3.0, 4.0]), 2),
+            BasecalledChunk(1, encode("AC"), np.array([1.0, 2.0]), 2),
+            BasecalledChunk(0, encode("GT"), np.array([3.0, 4.0]), 2),
         ]
         with pytest.raises(ValueError):
             reassemble_chunks("r", chunks)
 
     def test_missing_chunk_detected(self):
         chunks = [
-            BasecalledChunk(0, "AC", np.array([1.0, 2.0]), 2),
-            BasecalledChunk(2, "GT", np.array([3.0, 4.0]), 2),
+            BasecalledChunk(0, encode("AC"), np.array([1.0, 2.0]), 2),
+            BasecalledChunk(2, encode("GT"), np.array([3.0, 4.0]), 2),
         ]
         with pytest.raises(ValueError):
             reassemble_chunks("r", chunks)
@@ -97,8 +113,8 @@ class TestReassembly:
 
     def test_concatenation(self):
         chunks = [
-            BasecalledChunk(0, "AC", np.array([1.0, 2.0]), 2),
-            BasecalledChunk(1, "GT", np.array([3.0, 4.0]), 2),
+            BasecalledChunk(0, encode("AC"), np.array([1.0, 2.0]), 2),
+            BasecalledChunk(1, encode("GT"), np.array([3.0, 4.0]), 2),
         ]
         read = reassemble_chunks("r", chunks)
         assert read.bases == "ACGT"

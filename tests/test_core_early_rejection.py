@@ -11,7 +11,7 @@ from repro.qc import QCConfig, apply_qc, passes_qc
 
 
 def _chunk(index: int, quality: float, n: int = 300) -> BasecalledChunk:
-    return BasecalledChunk(index, "A" * n, np.full(n, quality), n)
+    return BasecalledChunk(index, np.zeros(n, dtype=np.uint8), np.full(n, quality), n)
 
 
 class TestQsrSampleIndices:
@@ -126,7 +126,7 @@ class TestCMRPolicy:
 
 class TestReadQC:
     def _read(self, quality: float) -> BasecalledRead:
-        return BasecalledRead("r", "ACGT" * 10, np.full(40, quality), 1)
+        return BasecalledRead("r", np.tile(np.arange(4, dtype=np.uint8), 10), np.full(40, quality), 1)
 
     def test_passes_above_threshold(self):
         assert passes_qc(self._read(9.0))

@@ -8,6 +8,7 @@ assertions.
 import numpy as np
 import pytest
 
+from repro.basecalling import SurrogateBasecaller
 from repro.core import (
     ConventionalPipeline,
     GenPIP,
@@ -15,6 +16,8 @@ from repro.core import (
     GenPIPPipeline,
     ReadStatus,
 )
+from repro.core.early_rejection import CMRPolicy
+from repro.experiments.figure13 import cmr_prefix_score
 from repro.mapping import MinimizerIndex
 from repro.nanopore.datasets import ECOLI_LIKE, generate_dataset, small_profile
 from repro.nanopore.read_simulator import ReadClass
@@ -99,6 +102,21 @@ class TestEarlyRejection:
         # also happened to be low quality).
         assert junk_ids <= (cmr_ids | qsr_ids)
         assert junk_ids & cmr_ids, "CMR must catch junk reads"
+
+    def test_figure13_sweep_scores_the_cmr_probe(self, genpip_report, index, truth):
+        """The Fig. 13 sweep's prefix score is the pipeline's CMR score."""
+        config = GenPIPConfig(n_qs=2, n_cm=5)
+        policy = CMRPolicy(config.theta_cm, config.n_cm)
+        probed = [o for o in genpip_report.outcomes if o.cmr is not None]
+        assert len(probed) > 10
+        for outcome in probed:
+            score, merged_bases = cmr_prefix_score(
+                index, SurrogateBasecaller(), policy, truth[outcome.read_id], config.chunk_size
+            )
+            assert (score, merged_bases) == (
+                outcome.cmr.chain_score,
+                outcome.cmr.merged_bases,
+            ), outcome.read_id
 
     def test_rejected_reads_save_basecalling(self, genpip_report):
         for outcome in genpip_report.outcomes:

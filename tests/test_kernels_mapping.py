@@ -357,14 +357,14 @@ class TestMapperIntegration:
     def test_incremental_gathered_cache(self, index, reference):
         read = reference.codes[10_000:13_000]
         mapper = IncrementalChunkMapper(index, read_length=read.size)
-        mapper.add_chunk(read[:1_500], 0)
+        mapper.extend(read[:1_500])
         first = mapper._gathered()
         assert mapper._gathered() is first  # repeated probes hit the cache
         mapper.chain_prefix()
         assert mapper._gathered() is first
-        mapper.add_chunk(read[1_500:], 1_500)
+        mapper.extend(read[1_500:])
         second = mapper._gathered()
-        assert second is not first  # add_chunk invalidates
+        assert second is not first  # extend invalidates
         assert second[1].shape[0] >= first[1].shape[0]
         mapper.set_read_length(read.size)  # unchanged length: keep cache
         assert mapper._gathered() is second
@@ -378,7 +378,7 @@ class TestMapperIntegration:
         whole = Mapper(index).map_read(alphabet.decode(read), "whole")
         inc = IncrementalChunkMapper(index, read_length=read.size)
         for at in range(0, read.size, 700):
-            inc.add_chunk(read[at : at + 700], at)
+            inc.extend(read[at : at + 700])
         result = inc.finalize("whole", read)
         assert result.mapped == whole.mapped
         assert (result.ref_start, result.ref_end, result.strand) == (

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.basecalling import SurrogateBasecaller
 from repro.genomics import alphabet
@@ -118,31 +120,74 @@ class TestSimulatedReadsEndToEnd:
             assert result.strand == read.strand
 
 
+def _assert_same_anchors(a: IncrementalChunkMapper, b: IncrementalChunkMapper) -> None:
+    got, want = a._gathered(), b._gathered()
+    assert got.keys() == want.keys()
+    for strand in want:
+        np.testing.assert_array_equal(got[strand], want[strand])
+
+
 class TestIncrementalChunkMapper:
     def test_incremental_equals_whole(self, index):
-        """Seeding chunk-by-chunk accumulates to whole-read chaining."""
+        """Seeding chunk-by-chunk gathers exactly the whole-read anchors."""
         read = index.reference.fetch(140_000, 146_000)
         whole = IncrementalChunkMapper(index, read.size)
-        whole.add_chunk(read, 0)
-        primary_whole, _ = whole.chain_prefix()
+        whole.extend(read)
 
         chunked = IncrementalChunkMapper(index, read.size)
         for start in range(0, read.size, 300):
-            chunked.add_chunk(read[start : start + 300], start)
-        primary_chunked, _ = chunked.chain_prefix()
+            chunked.extend(read[start : start + 300])
 
-        assert primary_whole is not None and primary_chunked is not None
-        # Chunked seeding loses anchors that straddle boundaries but must
-        # land on the same locus with a comparable score.
-        assert abs(primary_chunked.ref_span[0] - primary_whole.ref_span[0]) < 400
-        assert primary_chunked.score > 0.8 * primary_whole.score
+        _assert_same_anchors(chunked, whole)
+        (got, _), (want, _) = chunked.chain_prefix(), whole.chain_prefix()
+        assert want is not None and got.score == want.score
+        np.testing.assert_array_equal(got.anchors, want.anchors)
+
+    @given(
+        start=st.integers(min_value=0, max_value=190_000),
+        length=st.integers(min_value=0, max_value=2_500),
+        error_seed=st.integers(min_value=0, max_value=2**16),
+        strand=st.sampled_from([1, -1]),
+        cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_extend_any_cut_points_equals_one_extend(
+        self, index, start, length, error_seed, strand, cuts
+    ):
+        """Any split of a read into runs gathers the whole-read anchors."""
+        true = index.reference.fetch(start, start + length, strand=strand)
+        read = apply_errors(true, 0.08, np.random.default_rng(error_seed)).codes
+        whole = IncrementalChunkMapper(index, read.size)
+        whole.extend(read)
+
+        pieces = IncrementalChunkMapper(index, read.size)
+        bounds = sorted({0, read.size, *(int(c * read.size) for c in cuts)})
+        for lo, hi in zip(bounds, bounds[1:], strict=False):
+            pieces.extend(read[lo:hi])
+
+        assert pieces.bases_seeded == whole.bases_seeded == read.size
+        _assert_same_anchors(pieces, whole)
+
+    def test_short_first_run_is_reseeded(self, index):
+        """A first run shorter than one (k, w) window seeds only a partial
+        window; whole-read seeding of the longer read drops it."""
+        k, w = index.config.k, index.config.w
+        for start in range(0, 20_000, 1_000):
+            read = index.reference.fetch(start, start + 600)
+            whole = IncrementalChunkMapper(index, read.size)
+            whole.extend(read)
+            for cut in range(k, k + w - 1):
+                split = IncrementalChunkMapper(index, read.size)
+                split.extend(read[:cut])
+                split.extend(read[cut:])
+                _assert_same_anchors(split, whole)
 
     def test_prefix_chain_grows(self, index):
         read = index.reference.fetch(150_000, 156_000)
         mapper = IncrementalChunkMapper(index, read.size)
         scores = []
         for start in range(0, read.size, 1_500):
-            mapper.add_chunk(read[start : start + 1_500], start)
+            mapper.extend(read[start : start + 1_500])
             primary, _ = mapper.chain_prefix()
             scores.append(primary.score if primary else 0.0)
         assert all(b >= a - 1e-9 for a, b in zip(scores, scores[1:], strict=False))
@@ -151,14 +196,15 @@ class TestIncrementalChunkMapper:
     def test_junk_prefix_has_no_chain(self, index):
         junk = np.random.default_rng(22).integers(0, 4, size=1_500).astype(np.uint8)
         mapper = IncrementalChunkMapper(index, 6_000)
-        mapper.add_chunk(junk, 0)
+        mapper.extend(junk)
         primary, _ = mapper.chain_prefix()
         assert primary is None or primary.score < 60
 
     def test_bases_seeded_tracking(self, index):
         mapper = IncrementalChunkMapper(index, 1_000)
-        mapper.add_chunk(index.reference.fetch(0, 300), 0)
-        mapper.add_chunk(index.reference.fetch(300, 600), 300)
+        mapper.extend(index.reference.fetch(0, 300))
+        mapper.extend(index.reference.fetch(300, 600))
+        mapper.extend(np.empty(0, dtype=np.uint8))
         assert mapper.bases_seeded == 600
 
     def test_finalize_unmapped_for_empty(self, index):
