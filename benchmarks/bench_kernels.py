@@ -19,9 +19,9 @@ Two consumers:
   bit-identical to the scalar recurrence, the trellis kernel matches the
   triple-loop reference, the event-space decode tracks the sample-space
   one, batched DNN inference reproduces the per-chunk path, and the
-  mapping plane (batched seeding, blocked chain DP, wavefront Gotoh)
-  reproduces its scalar references anchor-for-anchor, parent-for-parent,
-  CIGAR-for-CIGAR.
+  mapping plane (batched seeding, blocked chain DP, native Gotoh in both
+  tie-rule modes) reproduces its scalar references anchor-for-anchor,
+  parent-for-parent, CIGAR-for-CIGAR.
 """
 
 import argparse
@@ -388,38 +388,73 @@ def collect_chain_equivalence(repeats: int = 3) -> list[dict]:
 
 
 def collect_align_equivalence(repeats: int = 3) -> list[dict]:
-    """Wavefront Gotoh vs the scalar kernel: identical scores and CIGARs."""
-    from repro.kernels.align import gotoh_scalar, gotoh_wavefront
+    """Native Gotoh vs its Python references, in both tie-rule modes.
+
+    ``value`` cases compare against :func:`gotoh_scalar` (the small
+    segment path), ``rows`` cases against the row pipeline
+    ``_align_core`` (large segments; ``free-tail`` is the head/tail
+    extension). Raises if the native library did not load, so this
+    lane cannot pass on the Python fallback.
+    """
+    from repro.kernels.align import gotoh_scalar, native_gotoh
+    from repro.mapping.alignment import AlignmentConfig, _align_core, _classify_diagonals
+
+    native = native_gotoh()
+    if native is None:
+        raise RuntimeError("native Gotoh kernel did not load")
+    scoring = (2.0, -4.0, -4.0, -2.0)
+    config = AlignmentConfig(*scoring)
+
+    def value_reference(a, b):
+        score, cigar = gotoh_scalar(a, b, *scoring)
+        return score, _classify_diagonals(cigar, a, b)
+
+    def rows_reference(a, b, free_ref_tail):
+        raw = _align_core(a, b, config, free_ref_tail=free_ref_tail)
+        return raw.score, _classify_diagonals(raw.cigar, a, b)
 
     rng = np.random.default_rng(27)
     a_rand = rng.integers(0, 4, 55).astype(np.uint8)
     b_rand = rng.integers(0, 4, 62).astype(np.uint8)
     a_mut = rng.integers(0, 4, 58).astype(np.uint8)
+    a_short = rng.integers(0, 4, 9).astype(np.uint8)
+    a_mid = rng.integers(0, 4, 90).astype(np.uint8)
+    b_mid = rng.integers(0, 4, 100).astype(np.uint8)
+    a_long = rng.integers(0, 4, 400).astype(np.uint8)
+    # Head/tail extension shape: a 400-base read end in a 616-base window.
+    window = rng.integers(0, 4, 616).astype(np.uint8)
+    window[:400] = a_long
+    zeros = np.zeros(55, dtype=np.uint8)
     cases = [
-        ("random-55x62", a_rand, b_rand),
-        ("mutated-58", a_mut, apply_errors(a_mut, 0.15, rng).codes),
-        ("all-ambiguous-ties", np.zeros(40, dtype=np.uint8), np.zeros(55, dtype=np.uint8)),
-        ("empty-vs-short", np.empty(0, dtype=np.uint8), rng.integers(0, 4, 9).astype(np.uint8)),
+        ("random-55x62", "value", a_rand, b_rand),
+        ("mutated-58", "value", a_mut, apply_errors(a_mut, 0.15, rng).codes),
+        ("all-ambiguous-ties", "value", zeros[:40], zeros),
+        ("empty-vs-short", "value", zeros[:0], a_short),
+        ("rows-random-90x100", "rows", a_mid, b_mid),
+        ("rows-mutated-400", "rows", a_long, apply_errors(a_long, 0.12, rng).codes),
+        ("free-tail-616x400", "free-tail", window, apply_errors(a_long, 0.12, rng).codes),
     ]
     records = []
-    for name, a, b in cases:
-        scalar, t_scalar = _best_time(
-            gotoh_scalar, a, b, 2.0, -4.0, -4.0, -2.0, repeats=repeats
-        )
-        wavefront, t_wavefront = _best_time(
-            gotoh_wavefront, a, b, 2.0, -4.0, -4.0, -2.0, repeats=repeats
-        )
+    for name, mode, a, b in cases:
+        if mode == "value":
+            reference, t_scalar = _best_time(value_reference, a, b, repeats=repeats)
+            kernel, t_native = _best_time(native.value, a, b, *scoring, repeats=repeats)
+        else:
+            free = mode == "free-tail"
+            reference, t_scalar = _best_time(rows_reference, a, b, free, repeats=repeats)
+            kernel, t_native = _best_time(native.rows, a, b, *scoring, free, repeats=repeats)
         records.append(
             {
                 "plane": "align-gotoh",
                 "case": name,
+                "mode": mode,
                 "cells": int(a.size) * int(b.size),
-                "equal": bool(scalar == wavefront),
-                "scalar_score": scalar[0],
-                "kernel_score": wavefront[0],
+                "equal": bool(reference == kernel),
+                "scalar_score": reference[0],
+                "kernel_score": kernel[0],
                 "scalar_s": round(t_scalar, 6),
-                "kernel_s": round(t_wavefront, 6),
-                "speedup": round(t_scalar / t_wavefront, 2) if t_wavefront else 0.0,
+                "kernel_s": round(t_native, 6),
+                "speedup": round(t_scalar / t_native, 2) if t_native else 0.0,
             }
         )
     return records

@@ -46,7 +46,7 @@ Two consumers:
   time, which is what CI gates. A **mapping
   lane** (``"lane": "mapping"``) maps the grid dataset with base-level
   alignment ON through the vectorised mapping plane (batched seeding,
-  blocked chain DP, wavefront Gotoh) and through the pinned scalar
+  blocked chain DP, native Gotoh) and through the pinned scalar
   references, asserting identical outcomes and recording each run's
   mapping-ops ledger delta next to its throughput. Grid records
   also carry per-batch completion-latency percentiles
@@ -410,7 +410,7 @@ def collect_trace_overhead_lane(system, dataset, repeats: int = 1) -> list[dict]
 
 #: The mapping lane's kernel planes: record's ``kernel`` -> MapperConfig
 #: factory. ``"vectorised"`` is the default plane (batched seeding +
-#: blocked chain DP + wavefront Gotoh); ``"scalar"`` pins every stage to
+#: blocked chain DP + native Gotoh); ``"scalar"`` pins every stage to
 #: its reference kernel.
 MAPPING_LANE_KERNELS = ("vectorised", "scalar")
 

@@ -31,8 +31,8 @@ This walks the whole public API surface once:
     transport publishes, hand workers read-only *views* instead of
     copies (``transport="shm-view"``), and watch the copy ledger --
     same outcomes, zero worker-side bytes copied;
-13. select mapping kernels by name: the vectorised mapping plane
-    (batched seeding, blocked chain DP, wavefront Gotoh) against its
+13. select mapping kernels by name: the fast mapping plane (batched
+    seeding, blocked chain DP, native C Gotoh) against its
     bit-identical scalar references, with the mapping-ops ledger
     counting the chain candidates and alignment cells the perf models
     charge;
@@ -396,13 +396,17 @@ def main() -> None:
     # 13. The mapping kernel plane: every mapping stage is a named
     #     kernel (MapperConfig.seed_kernel, ChainingConfig.kernel,
     #     AlignmentConfig.kernel). The defaults -- batched searchsorted
-    #     seeding, blocked chain DP, wavefront Gotoh -- are
-    #     bit-identical to the scalar references they replaced: same
-    #     anchors, same chain scores *and parents*, same alignment
-    #     scores and CIGARs. As the kernels run they charge the
-    #     process-local mapping-ops ledger (chain candidates, alignment
-    #     cells), the data-dependent counts repro.perf converts to
-    #     seconds through CostDatabase's per-base anchors.
+    #     seeding, blocked chain DP, native Gotoh -- are bit-identical
+    #     to the scalar references they replaced: same anchors, same
+    #     chain scores *and parents*, same alignment scores and CIGARs.
+    #     The native Gotoh is C (repro/kernels/_gotoh.c) compiled with
+    #     the system cc on the first alignment and cached per user;
+    #     without a compiler it warns once and runs the Python
+    #     references, with identical output. As the kernels run they
+    #     charge the process-local mapping-ops ledger (chain
+    #     candidates, alignment cells), the data-dependent counts
+    #     repro.perf converts to seconds through CostDatabase's
+    #     per-base anchors.
     from repro.kernels import process_mapping_ops
     from repro.mapping import Mapper, MapperConfig
     from repro.mapping.alignment import AlignmentConfig

@@ -34,8 +34,11 @@ previously iterated sample-by-sample in interpreted Python:
   Fig. 1(c)) with the band geometry hoisted into per-block matrices and
   a slim sequential combine.
 * :mod:`repro.kernels.align` -- affine-gap (Gotoh) alignment (paper
-  Fig. 1(d)) as an **anti-diagonal wavefront** over flat H/E/V tables,
-  plus the pure-Python scalar reference for small segments.
+  Fig. 1(d)) as a **native C tier** (``_gotoh.c`` through ``ctypes``,
+  compiled with the system ``cc`` on first use and cached per user):
+  fill and traceback in one call, in two modes that reproduce the two
+  Python tie rules byte for byte. Without a compiler it warns once and
+  falls back to the Python references, with identical output.
 
 Every kernel reports its own workload (:mod:`repro.kernels.workload`)
 so :mod:`repro.perf` can charge the *real* arithmetic -- Viterbi
@@ -44,20 +47,15 @@ instead of a generic per-base price. Basecalling kinds are known
 up-front; the data-dependent mapping kinds accumulate in the
 process-local ledger (:mod:`repro.kernels.mapping_ops`) as kernels run.
 
-Kernel selection is by name (``"wavefront"`` / ``"scalar"`` for sDTW
-and Gotoh, ``"vectorised"`` / ``"scalar"`` for the trellis,
-``"blocked"`` / ``"scalar"`` for the chain DP, ``"batched"`` /
-``"scalar"`` for seeding); the scalar references stay first-class
-because CI's kernel-equivalence lane replays both on fixed seeds and
-fails on any mismatch.
+Kernel selection is by name (``"wavefront"`` / ``"scalar"`` for sDTW,
+``"native"`` / ``"scalar"`` for Gotoh, ``"vectorised"`` / ``"scalar"``
+for the trellis, ``"blocked"`` / ``"scalar"`` for the chain DP,
+``"batched"`` / ``"scalar"`` for seeding); the scalar references stay
+first-class because CI's kernel-equivalence lane replays both on fixed
+seeds and fails on any mismatch.
 """
 
-from repro.kernels.align import (
-    ALIGN_KERNELS,
-    gotoh_scalar,
-    gotoh_wavefront,
-    resolve_align_kernel,
-)
+from repro.kernels.align import ALIGN_KERNELS, gotoh_scalar, native_gotoh
 from repro.kernels.batched_dnn import (
     batched_basecall,
     model_forward_batch,
@@ -117,13 +115,12 @@ __all__ = [
     "event_emissions",
     "event_features",
     "gotoh_scalar",
-    "gotoh_wavefront",
     "mapping_ops",
     "model_forward_batch",
     "model_forward_ragged",
+    "native_gotoh",
     "process_mapping_ops",
     "record_mapping_ops",
-    "resolve_align_kernel",
     "resolve_chain_kernel",
     "resolve_sdtw_kernel",
     "resolve_seed_kernel",

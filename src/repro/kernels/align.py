@@ -1,4 +1,4 @@
-"""Affine-gap (Gotoh) alignment kernels: scalar reference and wavefront.
+"""Affine-gap (Gotoh) alignment kernels: native tier and Python reference.
 
 The inter-anchor fill stage of piecewise alignment (paper Fig. 1(d);
 the DP GenPIP's alignment units execute in-memory) solves a global
@@ -10,43 +10,60 @@ affine-gap alignment per segment. The cell recurrence is
     V[i,j] = max(V[i-1,j] + ge, H[i-1,j] + go + ge)   # gap in read
     H[i,j] = max(H[i-1,j-1] + sub(i,j), E[i,j], V[i,j])
 
-Every dependency of cell ``(i, j)`` lies on the two previous
-anti-diagonals (``E``/``V`` need ``d - 1``, the substitution diagonal
-needs ``d - 2``), so -- exactly like the PR 6 sDTW wavefront -- whole
-anti-diagonals are computed as single vectorised numpy expressions
-with no intra-diagonal dependencies.
+Two Python implementations of it exist, and they break score ties
+differently (same scores, different CIGARs on tied paths):
+:func:`gotoh_scalar` here (full tables, value-comparing traceback) and
+the lazy-E row pipeline ``repro.mapping.alignment._align_core`` (stored
+pointers). Both tie rules are part of the output contract, so the
+native tier (``_gotoh.c``, loaded through :mod:`ctypes`) ports each bit
+for bit: :meth:`NativeGotoh.value` mirrors :func:`gotoh_scalar` and
+:meth:`NativeGotoh.rows` mirrors ``_align_core``. Both return the final
+run-length CIGAR with ``=``/``X`` already classified.
 
-**Bit-identity.** The wavefront kernel performs the same float64
-operations in the same association order as the scalar reference
-(``H + go + ge`` stays left-to-right; boundaries use ``go + ge * j``;
-the three-way max associates ``max(max(diag, E), V)`` as Python's
-``max`` does), and both run the same value-comparing traceback over the
-completed tables -- so scores, tracebacks, and CIGARs are bit-identical
-for *any* scoring configuration, not only the representable-integer
-defaults. CI replays both kernels on fixed seeds (``bench_kernels.py``)
-and fails on any mismatch.
+**Build.** The C source is compiled on first use (never at import)
+with ``cc -O2 -ffp-contract=off -shared -fPIC``: no fused multiply-add
+and no fast-math, so every float64 expression keeps the Python
+association order. The library is cached under
+``$XDG_CACHE_HOME/genpip-repro`` (else ``~/.cache/genpip-repro``, else
+a per-user directory in the temp dir), named by the sha256 of source,
+flags and platform, and written through a temp file plus
+:func:`os.replace` so concurrent pool workers never see a partial file.
+An unloadable cached library is rebuilt. Without a compiler, or if the
+build fails, :func:`native_gotoh` warns once and returns ``None``, and
+callers run the Python references, which produce the same bytes.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import struct
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 from repro.kernels.mapping_ops import record_mapping_ops
 
-#: Selectable small-segment Gotoh kernels, fastest-at-scale first.
-ALIGN_KERNELS = ("wavefront", "scalar")
+#: Selectable Gotoh kernels: ``"native"`` runs the compiled tier (falling
+#: back to the Python references when it cannot be built); ``"scalar"``
+#: forces the Python references.
+ALIGN_KERNELS = ("native", "scalar")
+
+_SOURCE = Path(__file__).with_name("_gotoh.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: Op codes of the native run encoding ``(length << 3) | op``.
+_NATIVE_OPS = ("=", "X", "I", "D")
 
 
-def resolve_align_kernel(kernel: str):
-    """Map a kernel name to its implementation (raising on unknown names)."""
-    if kernel == "wavefront":
-        return gotoh_wavefront
-    if kernel == "scalar":
-        return gotoh_scalar
-    raise ValueError(f"unknown align kernel {kernel!r}; expected one of {ALIGN_KERNELS}")
-
-
-def _merge_m_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+def merge_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     """Merge adjacent runs of the same op and drop zero-length runs."""
     merged: list[tuple[str, int]] = []
     for op, length in parts:
@@ -62,9 +79,7 @@ def _merge_m_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
 def _traceback_tables(h, e, v, n: int, m: int, ge: float) -> tuple[tuple[str, int], ...]:
     """Value-comparing traceback over completed H/E/V tables.
 
-    Works on list-of-lists and 2-D numpy tables alike; because both
-    kernels fill bit-identical tables, this shared walk yields
-    bit-identical CIGARs.
+    Ties resolve in the order E, then V, then the diagonal.
     """
     parts: list[tuple[str, int]] = []
     i, j = n, m
@@ -92,7 +107,7 @@ def _traceback_tables(h, e, v, n: int, m: int, ge: float) -> tuple[tuple[str, in
                 state = "H"
             i -= 1
     parts.reverse()
-    return _merge_m_cigar(parts)
+    return merge_cigar(parts)
 
 
 def gotoh_scalar(
@@ -105,9 +120,8 @@ def gotoh_scalar(
 ) -> tuple[float, tuple[tuple[str, int], ...]]:
     """Pure-Python Gotoh reference; returns ``(score, raw 'M'-run cigar)``.
 
-    Kept as the ground truth the wavefront kernel is checked against
-    (and the faster choice below the dispatch crossover, where numpy
-    call overhead dominates the handful of cells).
+    The ground truth :meth:`NativeGotoh.value` is checked against, and
+    the small-segment path whenever the native tier is off or missing.
     """
     n, m = int(a.size), int(b.size)
     if n and m:
@@ -143,64 +157,117 @@ def gotoh_scalar(
     return float(h[n][m]), cigar
 
 
-def gotoh_wavefront(
-    a: np.ndarray,
-    b: np.ndarray,
-    match: float,
-    mismatch: float,
-    gap_open: float,
-    gap_extend: float,
-) -> tuple[float, tuple[tuple[str, int], ...]]:
-    """Anti-diagonal vectorised Gotoh; bit-identical to :func:`gotoh_scalar`.
+class NativeGotoh:
+    """The compiled kernels of ``_gotoh.c``, bound through :mod:`ctypes`.
 
-    Fills full ``(n+1) x (m+1)`` H/E/V float64 tables one anti-diagonal
-    at a time: every cell on diagonal ``d`` reads only diagonals
-    ``d - 1`` (gap arms) and ``d - 2`` (substitution), so each diagonal
-    is a handful of elementwise ops with no sequential inner loop. The
-    tables live as flat 1-D buffers because the anti-diagonal's flat
-    index collapses to ``i * m + d`` -- a single slice-plus-add per
-    diagonal, and every dependency is that vector minus a constant --
-    which keeps per-diagonal overhead low enough to beat the scalar
-    loop from roughly a thousand cells up. The traceback then walks the
-    same tables the scalar reference builds.
+    Inputs are base-code arrays (values 0..255); each call charges the
+    ``align-cell`` ledger exactly as its Python reference does and
+    returns ``(score, cigar)`` with ``=``/``X``/``I``/``D`` runs.
     """
-    n, m = int(a.size), int(b.size)
-    if n and m:
-        record_mapping_ops("align-cell", n * m)
-    go, ge = gap_open, gap_extend
-    neg = -1e18
-    width = m + 1
 
-    h = np.zeros((n + 1) * width)
-    e = np.full((n + 1) * width, neg)
-    v = np.full((n + 1) * width, neg)
-    # Boundaries mirror the scalar reference's expressions exactly
-    # (go + ge * j, elementwise) so inexact scoring configs still agree.
-    e[1:width] = go + ge * np.arange(1, m + 1)
-    h[1:width] = e[1:width]
-    v[width::width] = go + ge * np.arange(1, n + 1)
-    h[width::width] = v[width::width]
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        # Codes travel as bytes and the runs come back in a string
+        # buffer: both cross ctypes without numpy's per-call overhead.
+        common = [
+            ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
+            ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+        ]
+        out = [ctypes.POINTER(ctypes.c_double), ctypes.c_char_p]
+        self._value = lib.gotoh_value
+        self._value.argtypes = [*common, *out]
+        self._value.restype = ctypes.c_int64
+        self._rows = lib.gotoh_rows
+        self._rows.argtypes = [*common, ctypes.c_int, *out]
+        self._rows.restype = ctypes.c_int64
 
-    if n and m:
-        # Substitution scores, padded to table coordinates so cell
-        # (i, j) reads sub at its own flat index.
-        sub = np.zeros((n + 1) * width)
-        sub.reshape(n + 1, width)[1:, 1:] = np.where(
-            np.asarray(a)[:, None] == np.asarray(b)[None, :], match, mismatch
+    def value(self, a, b, match, mismatch, gap_open, gap_extend):
+        """Bit-identical to :func:`gotoh_scalar` (with ``=``/``X`` runs)."""
+        return self._call(self._value, a, b, (match, mismatch, gap_open, gap_extend))
+
+    def rows(self, a, b, match, mismatch, gap_open, gap_extend, free_ref_tail=False):
+        """Bit-identical to the unbanded ``_align_core`` (with ``=``/``X`` runs)."""
+        scoring = (match, mismatch, gap_open, gap_extend, int(free_ref_tail))
+        return self._call(self._rows, a, b, scoring)
+
+    @staticmethod
+    def _call(fn, a, b, args) -> tuple[float, tuple[tuple[str, int], ...]]:
+        a_bytes = np.asarray(a, dtype=np.uint8).tobytes()
+        b_bytes = np.asarray(b, dtype=np.uint8).tobytes()
+        n, m = len(a_bytes), len(b_bytes)
+        runs = ctypes.create_string_buffer(8 * (n + m + 1))
+        score = ctypes.c_double()
+        count = fn(a_bytes, n, b_bytes, m, *args, ctypes.byref(score), runs)
+        if count < 0:
+            raise MemoryError(f"native Gotoh could not allocate a {n} x {m} table")
+        if n and m:
+            record_mapping_ops("align-cell", n * m)
+        return score.value, tuple(
+            (_NATIVE_OPS[x & 7], x >> 3) for x in struct.unpack_from(f"={count}q", runs)
         )
-        im = np.arange(n + 1) * m  # flat(i, d - i) = i*(m+1) + (d-i) = i*m + d
-        for d in range(2, n + m + 1):
-            ilo = 1 if d - m < 1 else d - m
-            ihi = n if d - 1 > n else d - 1
-            fi = im[ilo : ihi + 1] + d
-            # Same association order as the scalar loop: (H + go) + ge.
-            e_new = np.maximum(e[fi - 1] + ge, h[fi - 1] + go + ge)
-            v_new = np.maximum(v[fi - width] + ge, h[fi - width] + go + ge)
-            diag = h[fi - width - 1] + sub[fi]
-            e[fi] = e_new
-            v[fi] = v_new
-            h[fi] = np.maximum(np.maximum(diag, e_new), v_new)
 
-    h2 = h.reshape(n + 1, width)
-    cigar = _traceback_tables(h2, e.reshape(n + 1, width), v.reshape(n + 1, width), n, m, ge)
-    return float(h2[n, m]), cigar
+
+def _library_name() -> str:
+    digest = hashlib.sha256(_SOURCE.read_bytes())
+    digest.update(" ".join(_CFLAGS).encode())
+    digest.update(f"{sys.platform}-{platform.machine()}".encode())
+    return f"gotoh-{digest.hexdigest()[:24]}.so"
+
+
+def _compile(target: Path) -> None:
+    """Build into a temp file beside ``target``, then rename it into place."""
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    os.close(fd)
+    try:
+        build = subprocess.run(
+            ["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)],
+            capture_output=True, text=True, timeout=120,
+        )
+        if build.returncode:
+            raise OSError(f"cc exited with {build.returncode}: {build.stderr.strip()[-400:]}")
+        os.replace(tmp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _cache_dir() -> Path:
+    """The first of $XDG_CACHE_HOME, ~/.cache, the temp dir that is ours and writable."""
+    candidates = []
+    if os.environ.get("XDG_CACHE_HOME"):
+        candidates.append(Path(os.environ["XDG_CACHE_HOME"]) / "genpip-repro")
+    with contextlib.suppress(RuntimeError):  # no resolvable home directory
+        candidates.append(Path.home() / ".cache" / "genpip-repro")
+    candidates.append(Path(tempfile.gettempdir()) / f"genpip-repro-{os.getuid()}")
+    errors = []
+    for directory in candidates:
+        try:
+            directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+            if directory.stat().st_uid != os.getuid() or not os.access(directory, os.W_OK):
+                raise PermissionError("not owned by this user or not writable")
+            return directory
+        except OSError as exc:
+            errors.append(f"{directory}: {exc}")
+    raise OSError("no usable cache directory: " + "; ".join(errors))
+
+
+def _load_native() -> NativeGotoh:
+    """Load the cached library, building it (again, if unloadable) as needed."""
+    target = _cache_dir() / _library_name()
+    with contextlib.suppress(OSError, AttributeError):  # missing or corrupt
+        return NativeGotoh(ctypes.CDLL(str(target)))
+    _compile(target)
+    return NativeGotoh(ctypes.CDLL(str(target)))
+
+
+@functools.cache
+def native_gotoh() -> NativeGotoh | None:
+    """The process's native Gotoh kernels, or ``None`` (after one warning)."""
+    try:
+        return _load_native()
+    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+        warnings.warn(
+            f"native Gotoh kernel unavailable, using the Python references: {exc}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None

@@ -14,10 +14,16 @@ Two layers:
   invertible), so only the short inter-anchor segments need DP. Head and
   tail are aligned up to a capped extension and soft-clipped beyond it.
 
-Small segments run through the named Gotoh kernels in
-:mod:`repro.kernels.align` (``AlignmentConfig.kernel``): the scalar
-reference loop below the size crossover, the anti-diagonal wavefront
-above it -- bit-identical either way.
+Segment DP runs through :mod:`repro.kernels.align`
+(``AlignmentConfig.kernel``): the native C tier by default, the Python
+references under ``"scalar"`` or when no compiler is available. There
+are two tie rules, and the choice between them is part of the output:
+segments of at most :data:`_VALUE_TRACEBACK_MAX_CELLS` cells use the
+value-comparing traceback of :func:`~repro.kernels.align.gotoh_scalar`;
+larger segments and the head/tail extensions use the stored-pointer
+traceback of :func:`_align_core`. Both find the optimal score but may
+pick different equally-scoring CIGARs, and each native mode reproduces
+its reference's bytes.
 
 Scoring defaults follow minimap2's map-ont preset (match +2, mismatch
 -4, gap open -4, gap extend -2).
@@ -29,18 +35,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.align import ALIGN_KERNELS, gotoh_scalar, gotoh_wavefront
+from repro.kernels.align import ALIGN_KERNELS, gotoh_scalar, merge_cigar, native_gotoh
 from repro.kernels.mapping_ops import record_mapping_ops
 
 #: CIGAR operation codes used throughout: match, mismatch, insertion
 #: (read-only base), deletion (reference-only base), soft clip.
 CIGAR_OPS = ("=", "X", "I", "D", "S")
 
-#: Below this many DP cells the pure-Python scalar kernel beats the
-#: wavefront (numpy dispatch overhead dominates a handful of cells);
-#: both kernels are bit-identical, so the crossover is purely a speed
-#: heuristic.
-_WAVEFRONT_MIN_CELLS = 2_048
+#: Unbanded segments of at most this many DP cells use the value-comparing
+#: traceback of :func:`~repro.kernels.align.gotoh_scalar`; larger ones use
+#: the stored-pointer traceback of :func:`_align_core`. The two break ties
+#: differently, so this threshold selects the tie rule (and so the CIGAR
+#: bytes of tied alignments), not a speed crossover.
+_VALUE_TRACEBACK_MAX_CELLS = 3_600
 
 
 @dataclass(frozen=True)
@@ -55,10 +62,11 @@ class AlignmentConfig:
     max_end_extension: int = 400
     #: Safety cap on inter-anchor segment DP size (cells).
     max_segment_cells: int = 4_000_000
-    #: Small-segment Gotoh kernel from :data:`repro.kernels.align.ALIGN_KERNELS`.
-    #: ``"wavefront"`` vectorises anti-diagonals above the size crossover;
-    #: ``"scalar"`` forces the reference loop everywhere.
-    kernel: str = "wavefront"
+    #: Gotoh kernel from :data:`repro.kernels.align.ALIGN_KERNELS`:
+    #: ``"native"`` runs the compiled tier (Python fallback if it cannot
+    #: be built); ``"scalar"`` forces the Python references everywhere.
+    #: Both give identical bytes.
+    kernel: str = "native"
 
     def __post_init__(self) -> None:
         if self.match <= 0:
@@ -125,19 +133,6 @@ def cigar_to_string(cigar: tuple[tuple[str, int], ...]) -> str:
     return "".join(f"{length}{op}" for op, length in cigar)
 
 
-def _merge_cigar(parts: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """Merge adjacent runs of the same op and drop zero-length runs."""
-    merged: list[tuple[str, int]] = []
-    for op, length in parts:
-        if length <= 0:
-            continue
-        if merged and merged[-1][0] == op:
-            merged[-1] = (op, merged[-1][1] + length)
-        else:
-            merged.append((op, length))
-    return tuple(merged)
-
-
 def align_banded(
     ref: np.ndarray,
     read: np.ndarray,
@@ -159,34 +154,44 @@ def align_banded(
         gives the exact result.
     """
     config = config or AlignmentConfig()
+    if band is not None:
+        raw = _align_core(ref, read, config, band)
+        return AlignmentResult(raw.score, _classify_diagonals(raw.cigar, ref, read))
     a = np.asarray(ref)
     b = np.asarray(read)
-    small = band is None and 0 < a.size * b.size <= 3_600
-    raw = _align_small(a, b, config) if small else _align_core(ref, read, config, band)
-    return AlignmentResult(
-        score=raw.score, cigar=_classify_diagonals(raw.cigar, ref, read)
-    )
+    small = 0 < a.size * b.size <= _VALUE_TRACEBACK_MAX_CELLS
+    return _gotoh(a, b, config, rows=not small)
 
 
-def _align_small(a: np.ndarray, b: np.ndarray, config: AlignmentConfig) -> AlignmentResult:
-    """Small-segment Gotoh via the named kernels in :mod:`repro.kernels.align`.
+def _gotoh(
+    a: np.ndarray,
+    b: np.ndarray,
+    config: AlignmentConfig,
+    rows: bool,
+    free_ref_tail: bool = False,
+) -> AlignmentResult:
+    """Unbanded Gotoh with ``=``/``X`` runs, under either tie rule.
 
-    The numpy row pipeline (:func:`_align_core`) costs ~2 ms per call
-    regardless of size; inter-anchor segments are usually tens of
-    bases. Below the wavefront crossover the scalar kernel's plain
-    nested loop wins; above it the anti-diagonal wavefront does. Both
-    kernels are bit-identical to each other and produce scores and
-    CIGARs identical to :func:`_align_core` (property-tested).
+    ``rows`` selects :func:`_align_core`'s stored-pointer traceback
+    (which alone supports ``free_ref_tail``); otherwise the
+    value-comparing traceback of :func:`~repro.kernels.align.gotoh_scalar`.
+    Note the two give the same score but not always the same CIGAR: on
+    all-tie inputs (30 x 45 zeros) the rows rule yields ``15I 30=`` and
+    the value rule ``30= 15I``.
     """
-    wavefront = (
-        config.kernel == "wavefront"
-        and int(a.size) * int(b.size) >= _WAVEFRONT_MIN_CELLS
-    )
-    kernel = gotoh_wavefront if wavefront else gotoh_scalar
-    score, cigar = kernel(
-        a, b, config.match, config.mismatch, config.gap_open, config.gap_extend
-    )
-    return AlignmentResult(score=score, cigar=cigar)
+    scoring = (config.match, config.mismatch, config.gap_open, config.gap_extend)
+    native = native_gotoh() if config.kernel == "native" else None
+    if native is not None:
+        if rows:
+            score, cigar = native.rows(a, b, *scoring, free_ref_tail=free_ref_tail)
+        else:
+            score, cigar = native.value(a, b, *scoring)
+        return AlignmentResult(score=score, cigar=cigar)
+    if rows:
+        raw = _align_core(a, b, config, free_ref_tail=free_ref_tail)
+    else:
+        raw = AlignmentResult(*gotoh_scalar(a, b, *scoring))
+    return AlignmentResult(score=raw.score, cigar=_classify_diagonals(raw.cigar, a, b))
 
 
 def _align_core(
@@ -197,6 +202,10 @@ def _align_core(
     free_ref_tail: bool = False,
 ) -> AlignmentResult:
     """Gotoh DP; returns a CIGAR with raw 'M' (match-or-mismatch) runs.
+
+    The Python reference of the native ``rows`` mode
+    (:meth:`~repro.kernels.align.NativeGotoh.rows`), and the only
+    implementation of ``band``.
 
     With ``free_ref_tail`` the alignment may stop before consuming the
     whole reference (semi-global: trailing reference bases are free) --
@@ -325,7 +334,7 @@ def _traceback(ptr_h, ptr_e, ptr_v, n: int, m: int) -> tuple[tuple[str, int], ..
                 state = "H"
             i -= 1
     parts.reverse()
-    return _merge_cigar(parts)
+    return merge_cigar(parts)
 
 
 def _classify_diagonals(
@@ -350,7 +359,7 @@ def _classify_diagonals(
         else:
             out.append((op, length))
             j += length
-    return _merge_cigar(out)
+    return merge_cigar(out)
 
 
 def _align_extension(
@@ -368,11 +377,10 @@ def _align_extension(
     """
     a = ref_window[::-1] if reverse else ref_window
     b = read_segment[::-1] if reverse else read_segment
-    raw = _align_core(a, b, config, free_ref_tail=True)
-    cigar = _classify_diagonals(raw.cigar, a, b)
+    result = _gotoh(a, b, config, rows=True, free_ref_tail=True)
     if reverse:
-        cigar = tuple(reversed(cigar))
-    return AlignmentResult(score=raw.score, cigar=cigar)
+        return AlignmentResult(score=result.score, cigar=tuple(reversed(result.cigar)))
+    return result
 
 
 def align_chain(
@@ -485,5 +493,5 @@ def align_chain(
     if clip_tail:
         parts.append(("S", clip_tail))
 
-    result = AlignmentResult(score=score, cigar=_merge_cigar(parts))
+    result = AlignmentResult(score=score, cigar=merge_cigar(parts))
     return result, ref_start, ref_end

@@ -6,8 +6,9 @@ Three bit-identity families, mirroring CI's kernel-equivalence lane:
   the exact grouped anchor arrays of the per-key scalar walk;
 * the blocked chain DP must produce bit-identical scores *and parents*
   to the scalar reference (same float64 combine order per row);
-* the wavefront Gotoh must produce the identical score and CIGAR as the
-  scalar kernel on every segment shape the small path can see.
+* the native Gotoh's value mode must produce the identical score and
+  CIGAR as the scalar Python kernel on every segment shape the small
+  path can see (its rows mode is covered in test_kernels_align_native).
 
 Plus the riders: the mapping-ops ledger must record exactly the
 arithmetic the kernels performed, the perf models must charge it, the
@@ -35,10 +36,9 @@ from repro.kernels import (
     chain_scores_blocked,
     chain_scores_scalar,
     gotoh_scalar,
-    gotoh_wavefront,
     mapping_ops,
+    native_gotoh,
     process_mapping_ops,
-    resolve_align_kernel,
     resolve_chain_kernel,
     resolve_seed_kernel,
     seed_anchors_batched,
@@ -46,6 +46,7 @@ from repro.kernels import (
 )
 from repro.mapping.alignment import (
     AlignmentConfig,
+    _classify_diagonals,
     align_banded,
     align_chain,
     cigar_to_string,
@@ -158,20 +159,36 @@ def _random_pair(rng, n, m):
     )
 
 
+def _scalar_classified(a, b, *scoring):
+    """gotoh_scalar with its raw 'M' runs split into '='/'X'."""
+    score, cigar = gotoh_scalar(a, b, *scoring)
+    return score, _classify_diagonals(cigar, a, b)
+
+
+@pytest.fixture(scope="module")
+def native():
+    kernels = native_gotoh()
+    if kernels is None:
+        pytest.skip("native Gotoh kernel unavailable (no C compiler)")
+    return kernels
+
+
 class TestAlignKernels:
+    # The test names predate the native tier; they check the native
+    # value mode against the scalar reference.
     @pytest.mark.parametrize(
         "shape",
         [(0, 0), (0, 7), (7, 0), (1, 1), (3, 9), (20, 20), (45, 52), (60, 60), (80, 75)],
     )
-    def test_wavefront_bit_identical_fixed_shapes(self, shape):
+    def test_wavefront_bit_identical_fixed_shapes(self, native, shape):
         rng = np.random.default_rng(sum(shape) + 7)
         a, b = _random_pair(rng, *shape)
-        s_score, s_cigar = gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
-        w_score, w_cigar = gotoh_wavefront(a, b, 2.0, -4.0, -4.0, -2.0)
-        assert s_score == w_score
-        assert s_cigar == w_cigar
+        s_score, s_cigar = _scalar_classified(a, b, 2.0, -4.0, -4.0, -2.0)
+        n_score, n_cigar = native.value(a, b, 2.0, -4.0, -4.0, -2.0)
+        assert s_score == n_score
+        assert s_cigar == n_cigar
 
-    def test_wavefront_bit_identical_fuzz(self):
+    def test_wavefront_bit_identical_fuzz(self, native):
         rng = np.random.default_rng(201)
         configs = [(2.0, -4.0, -4.0, -2.0), (2.1, -3.7, -4.3, -1.9), (1.0, -1.0, -6.0, -0.5)]
         for trial in range(40):
@@ -180,42 +197,42 @@ class TestAlignKernels:
             if trial % 3 == 0:
                 # Mutated copy: realistic near-diagonal traceback.
                 b = apply_errors(a, 0.15, rng).codes
-            match, mismatch, go, ge = configs[trial % len(configs)]
-            assert gotoh_scalar(a, b, match, mismatch, go, ge) == gotoh_wavefront(
-                a, b, match, mismatch, go, ge
-            ), trial
+            scoring = configs[trial % len(configs)]
+            assert _scalar_classified(a, b, *scoring) == native.value(a, b, *scoring), trial
 
-    def test_all_ambiguous_ties_break_identically(self):
+    def test_all_ambiguous_ties_break_identically(self, native):
         # Constant sequences make every cell a tie: the traceback must
         # still walk the same path in both kernels.
         a = np.zeros(30, dtype=np.uint8)
         b = np.zeros(45, dtype=np.uint8)
-        assert gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0) == gotoh_wavefront(
+        assert _scalar_classified(a, b, 2.0, -4.0, -4.0, -2.0) == native.value(
             a, b, 2.0, -4.0, -4.0, -2.0
         )
 
-    def test_align_banded_small_path_kernel_equivalence(self):
+    def test_align_banded_small_path_kernel_equivalence(self, native):
+        # Below and above the value-traceback threshold (value, then rows).
         rng = np.random.default_rng(202)
-        for _ in range(10):
-            n, m = int(rng.integers(20, 60)), int(rng.integers(20, 60))
+        for trial in range(20):
+            lo, hi = (20, 60) if trial % 2 else (70, 80)
+            n, m = int(rng.integers(lo, hi)), int(rng.integers(lo, hi))
             a, b = _random_pair(rng, n, m)
             results = {
                 name: align_banded(a, b, AlignmentConfig(kernel=name)) for name in ALIGN_KERNELS
             }
-            assert results["wavefront"].score == results["scalar"].score
-            assert results["wavefront"].cigar == results["scalar"].cigar
+            assert results["native"].score == results["scalar"].score
+            assert results["native"].cigar == results["scalar"].cigar
 
     def test_band_edge_path_unchanged_by_kernel_field(self):
-        # Banded alignment uses the row pipeline, not the small-segment
-        # kernels -- the kernel field must not perturb it.
+        # Banded alignment uses the Python row pipeline under either
+        # kernel name -- the kernel field must not perturb it.
         rng = np.random.default_rng(203)
         a, b = _random_pair(rng, 300, 310)
         banded = {
             name: align_banded(a, b, AlignmentConfig(kernel=name), band=12)
             for name in ALIGN_KERNELS
         }
-        assert banded["wavefront"].score == banded["scalar"].score
-        assert banded["wavefront"].cigar == banded["scalar"].cigar
+        assert banded["native"].score == banded["scalar"].score
+        assert banded["native"].cigar == banded["scalar"].cigar
 
     def test_align_chain_capped_segment_equivalence(self, reference):
         # A chain whose inter-anchor gap blows max_segment_cells takes
@@ -227,25 +244,25 @@ class TestAlignKernels:
         for name in ALIGN_KERNELS:
             config = AlignmentConfig(kernel=name, max_segment_cells=100)
             results[name] = align_chain(codes, read, anchors, 13, config)
-        (a_w, lo_w, hi_w), (a_s, lo_s, hi_s) = results["wavefront"], results["scalar"]
-        assert (a_w.score, cigar_to_string(a_w.cigar)) == (a_s.score, cigar_to_string(a_s.cigar))
-        assert (lo_w, hi_w) == (lo_s, hi_s)
-        assert "D" in cigar_to_string(a_w.cigar) and "I" in cigar_to_string(a_w.cigar)
+        (a_n, lo_n, hi_n), (a_s, lo_s, hi_s) = results["native"], results["scalar"]
+        assert (a_n.score, cigar_to_string(a_n.cigar)) == (a_s.score, cigar_to_string(a_s.cigar))
+        assert (lo_n, hi_n) == (lo_s, hi_s)
+        assert "D" in cigar_to_string(a_n.cigar) and "I" in cigar_to_string(a_n.cigar)
 
-    def test_kernels_charge_cells(self):
+    def test_kernels_charge_cells(self, native):
         rng = np.random.default_rng(204)
         a, b = _random_pair(rng, 40, 50)
         ledger = process_mapping_ops()
         before = ledger.ops("align-cell")
-        gotoh_wavefront(a, b, 2.0, -4.0, -4.0, -2.0)
+        native.value(a, b, 2.0, -4.0, -4.0, -2.0)
+        native.rows(a, b, 2.0, -4.0, -4.0, -2.0, free_ref_tail=True)
         gotoh_scalar(a, b, 2.0, -4.0, -4.0, -2.0)
-        assert ledger.ops("align-cell") - before == 2 * 40 * 50
+        assert ledger.ops("align-cell") - before == 3 * 40 * 50
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="wavefront"):
-            resolve_align_kernel("gpu")
-        with pytest.raises(ValueError, match="align kernel"):
-            AlignmentConfig(kernel="gpu")
+        for name in ("gpu", "wavefront"):
+            with pytest.raises(ValueError, match="align kernel.*native"):
+                AlignmentConfig(kernel=name)
 
 
 class TestSeedKernels:
